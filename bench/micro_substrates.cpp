@@ -162,6 +162,23 @@ void BM_KvMergeSizeUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_KvMergeSizeUpdate);
 
+// A stat of a hot shared file: one get after N size-update merges that
+// all still sit in the memtable. Merges are resolved at write time, so
+// the cost should not grow with N.
+void BM_KvGetAfterMerges(benchmark::State& state) {
+  KvFixture fx;
+  (void)fx.db->put("/shared", kv::U64MaxMergeOperator::encode(0));
+  for (std::int64_t i = 1; i <= state.range(0); ++i) {
+    (void)fx.db->merge("/shared", kv::U64MaxMergeOperator::encode(
+                                      static_cast<std::uint64_t>(i) * 8192));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx.db->get("/shared"));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KvGetAfterMerges)->Arg(1 << 10)->Arg(16 << 10);
+
 // ---------- chunk storage ----------
 
 void BM_ChunkWrite(benchmark::State& state) {

@@ -52,6 +52,19 @@ echo "== check.sh: forensics suite (ctest -L forensics)"
 echo "== check.sh: full test suite (lockdep on)"
 (cd "${BUILD_DIR}" && GEKKO_LOCKDEP=1 ctest --output-on-failure)
 
+# The benchmark's own suite: its planted-fault tests check that every
+# wrong result (a flipped byte, a bad size, a missing file) is caught on
+# the paths the benchmark times. Configured exactly as perfbench/run.py
+# configures it, in the same .bench_build tree.
+BENCH_BUILD_DIR="${REPO_ROOT}/.bench_build"
+echo "== check.sh: benchmark suite (perfbench_test in ${BENCH_BUILD_DIR})"
+if [ ! -f "${BENCH_BUILD_DIR}/CMakeCache.txt" ]; then
+  cmake -S "${REPO_ROOT}/perfbench" -B "${BENCH_BUILD_DIR}" \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+fi
+cmake --build "${BENCH_BUILD_DIR}" --target perfbench_test -j"${JOBS}"
+(cd "${BENCH_BUILD_DIR}" && ctest --output-on-failure)
+
 # Deterministic fuzz smoke: corpus replay + a fixed mutation budget per
 # decoder family, in a dedicated ASan+UBSan build (the fuzz harnesses
 # only exist under -DGEKKO_FUZZ=ON). Skipped when a sanitizer build was

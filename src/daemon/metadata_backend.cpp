@@ -28,12 +28,14 @@ Result<proto::Metadata> MetadataBackend::get(std::string_view path) {
 }
 
 Result<proto::Metadata> MetadataBackend::remove(std::string_view path) {
-  auto value = db_->get(path);
-  if (!value) return value.status();
-  auto md = proto::Metadata::decode(*value);
-  if (!md) return md.status();
-  GEKKO_RETURN_IF_ERROR(db_->remove_existing(path));
-  return md;
+  // Read and erase in one DB lock hold: a size update landing between a
+  // separate get and erase would be lost, and the client would skip the
+  // chunk cleanup of a file it believes empty.
+  std::vector<Errc> out;
+  std::vector<proto::Metadata> old_mds;
+  GEKKO_RETURN_IF_ERROR(remove_batch({std::string(path)}, &out, &old_mds));
+  if (out[0] != Errc::ok) return out[0];
+  return std::move(old_mds[0]);
 }
 
 Status MetadataBackend::create_batch(

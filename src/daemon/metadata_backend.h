@@ -30,8 +30,8 @@ class MetadataBackend {
   Result<proto::Metadata> get(std::string_view path);
 
   /// Remove and return the old record (the client uses its size to
-  /// decide whether chunk cleanup RPCs are needed). Errc::not_found if
-  /// absent.
+  /// decide whether chunk cleanup RPCs are needed), read atomically with
+  /// the erase. Errc::not_found if absent.
   Result<proto::Metadata> remove(std::string_view path);
 
   /// Batched create: ONE KV lock acquisition and WAL commit for the
@@ -55,7 +55,8 @@ class MetadataBackend {
                       std::vector<Errc>* out,
                       std::vector<proto::Metadata>* old_mds);
 
-  /// Contention-free size fold (merge operand, see metadata_merge.h).
+  /// Contention-free size fold (merge operand, see metadata_merge.h;
+  /// the DB folds it onto the record at write time).
   Status update_size(std::string_view path, std::uint64_t observed_size,
                      std::int64_t mtime_ns);
 

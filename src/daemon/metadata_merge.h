@@ -2,8 +2,10 @@
 //
 // GekkoFS stores one Metadata record per path in RocksDB and updates
 // file sizes with a merge operand instead of read-modify-write, so
-// concurrent writers to one file never serialize on a get+put cycle
-// (the contention the paper measures on shared files, §IV.B).
+// concurrent writers to one file never race on a get+put cycle (the
+// contention the paper measures on shared files, §IV.B). kv::DB
+// applies the operand at write time, under the lock that already
+// orders its writes, and stores the resulting record.
 //
 // Operand format: [op u8][size u64][mtime i64]
 //   op 0: size = max(size, operand.size)        (write at offset)
@@ -48,7 +50,7 @@ class MetadataMergeOperator final : public kv::MergeOperator {
         md = *decoded;
       }
       // A corrupt base degrades to a default record rather than
-      // erroring: merge operators cannot fail mid-compaction.
+      // erroring: the MergeOperator interface has no failure path.
     }
 
     gekko::Decoder dec(operand);

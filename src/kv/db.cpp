@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cinttypes>
 #include <charconv>
+#include <optional>
+#include <unordered_map>
 
 #include "common/fileio.h"
 #include "common/flight_recorder.h"
@@ -130,12 +132,11 @@ Status DB::recover_() {
         [&](SequenceNumber first_seq, std::string_view bytes) -> Status {
           auto batch = WriteBatch::from_bytes(bytes);
           if (!batch) return batch.status();
-          SequenceNumber seq = first_seq;
-          GEKKO_RETURN_IF_ERROR(batch->for_each(
-              [&](ValueType t, std::string_view k, std::string_view v) {
-                mem_->add(seq++, t, k, v);
-              }));
-          if (seq > 0 && seq - 1 > max_seq) max_seq = seq - 1;
+          if (batch->empty()) return Status::ok();
+          GEKKO_RETURN_IF_ERROR(apply_locked_(*batch, first_seq,
+                                              /*to_wal=*/false,
+                                              /*sync=*/false));
+          max_seq = std::max(max_seq, first_seq + batch->count() - 1);
           return Status::ok();
         });
     if (!stats) return stats.status();
@@ -193,9 +194,6 @@ Status DB::erase(std::string_view key, const WriteOptions& wo) {
 
 Status DB::merge(std::string_view key, std::string_view operand,
                  const WriteOptions& wo) {
-  if (!options_.merge_operator) {
-    return Status{Errc::not_supported, "no merge operator configured"};
-  }
   WriteBatch batch;
   batch.merge(key, operand);
   Status st = write(batch, wo);
@@ -227,13 +225,6 @@ Status DB::lookup_locked_(std::string_view key, std::uint64_t snap,
   return Status::ok();
 }
 
-namespace {
-bool lookup_exists(const LookupResult& lr) {
-  return lr.state == LookupState::found ||
-         (lr.state == LookupState::not_present && !lr.pending_merges.empty());
-}
-}  // namespace
-
 Status DB::insert(std::string_view key, std::string_view value,
                   const WriteOptions& wo) {
   throttle_();
@@ -243,27 +234,12 @@ Status DB::insert(std::string_view key, std::string_view value,
   // read path below never blocks on I/O beyond table reads.
   LookupResult lr;
   GEKKO_RETURN_IF_ERROR(lookup_locked_(key, versions_.last_sequence(), &lr));
-  if (lookup_exists(lr)) return Errc::exists;
+  if (lr.state == LookupState::found) return Errc::exists;
 
   WriteBatch batch;
   batch.put(key, value);
   Status st = write_locked_(batch, wo.sync || options_.wal_sync, lock);
   if (st.is_ok()) ops_.puts.fetch_add(1, std::memory_order_relaxed);
-  return st;
-}
-
-Status DB::remove_existing(std::string_view key, const WriteOptions& wo) {
-  throttle_();
-  UniqueLock lock(mutex_);
-  if (background_error_set_) return background_error_;
-  LookupResult lr;
-  GEKKO_RETURN_IF_ERROR(lookup_locked_(key, versions_.last_sequence(), &lr));
-  if (!lookup_exists(lr)) return Errc::not_found;
-
-  WriteBatch batch;
-  batch.erase(key);
-  Status st = write_locked_(batch, wo.sync || options_.wal_sync, lock);
-  if (st.is_ok()) ops_.deletes.fetch_add(1, std::memory_order_relaxed);
   return st;
 }
 
@@ -287,7 +263,7 @@ Status DB::insert_many(
     }
     LookupResult lr;
     GEKKO_RETURN_IF_ERROR(lookup_locked_(key, snap, &lr));
-    if (lookup_exists(lr)) {
+    if (lr.state == LookupState::found) {
       (*out)[i] = Errc::exists;
       continue;
     }
@@ -324,17 +300,11 @@ Status DB::remove_many(const std::vector<std::string>& keys,
     }
     LookupResult lr;
     GEKKO_RETURN_IF_ERROR(lookup_locked_(key, snap, &lr));
-    if (!lookup_exists(lr)) {
+    if (lr.state != LookupState::found) {
       (*out)[i] = Errc::not_found;
       continue;
     }
-    if (!lr.pending_merges.empty()) {
-      auto folded = fold_merges_(key, lr);
-      if (!folded) return folded.status();
-      (*old_values)[i] = std::move(*folded);
-    } else {
-      (*old_values)[i] = std::move(lr.value);
-    }
+    (*old_values)[i] = std::move(lr.value);
     batch.erase(key);
     in_batch.insert(key);
     ++accepted;
@@ -348,23 +318,73 @@ Status DB::remove_many(const std::vector<std::string>& keys,
 Status DB::write_locked_(const WriteBatch& batch, bool sync,
                          UniqueLock& lock) {
   const SequenceNumber first_seq = versions_.last_sequence() + 1;
-  GEKKO_RETURN_IF_ERROR(wal_->append(
-      first_seq,
-      std::string_view(reinterpret_cast<const char*>(batch.data().data()),
-                       batch.data().size()),
-      sync));
-  ++stats_.wal_appends;
-  if (sync) ++stats_.wal_syncs;
-  flight::record(flight::Subsys::kv, flight::ev::kv_wal_append,
-                 batch.data().size());
+  GEKKO_RETURN_IF_ERROR(apply_locked_(batch, first_seq, /*to_wal=*/true, sync));
+  versions_.set_last_sequence(first_seq + batch.count() - 1);
+  return maybe_switch_memtable_(lock);
+}
 
+Status DB::apply_locked_(const WriteBatch& batch, SequenceNumber first_seq,
+                         bool to_wal, bool sync) {
+  // Resolve merges first: each operand folds onto the key's newest value
+  // (an earlier op of this batch, else the LSM) and becomes a put. mutex_
+  // serializes every writer, so that value cannot change underneath.
+  WriteBatch resolved;
+  const WriteBatch* apply = &batch;
+  if (batch.has_merges()) {
+    if (!options_.merge_operator) {
+      return Status{Errc::not_supported, "no merge operator configured"};
+    }
+    // This batch's own writes so far: the value, or nullopt if erased.
+    // Keys view the batch's bytes, which outlive the map.
+    std::unordered_map<std::string_view, std::optional<std::string>> latest;
+    Status lookup = Status::ok();
+    GEKKO_RETURN_IF_ERROR(batch.for_each(
+        [&](ValueType t, std::string_view k, std::string_view v) {
+          if (!lookup.is_ok()) return;
+          auto [slot, fresh] = latest.try_emplace(k);
+          std::optional<std::string>& cur = slot->second;
+          switch (t) {
+            case ValueType::value:
+              cur.emplace(v);
+              resolved.put(k, v);
+              return;
+            case ValueType::deletion:
+              cur.reset();
+              resolved.erase(k);
+              return;
+            case ValueType::merge:
+              if (fresh) {
+                LookupResult lr;
+                lookup = lookup_locked_(k, kMaxSequence, &lr);
+                if (!lookup.is_ok()) return;
+                if (lr.state == LookupState::found) cur = std::move(lr.value);
+              }
+              cur = options_.merge_operator->merge(
+                  k, cur ? &*cur : nullptr, v);
+              resolved.put(k, *cur);
+              return;
+          }
+        }));
+    GEKKO_RETURN_IF_ERROR(lookup);
+    apply = &resolved;
+  }
+
+  if (to_wal) {
+    GEKKO_RETURN_IF_ERROR(wal_->append(
+        first_seq,
+        std::string_view(reinterpret_cast<const char*>(apply->data().data()),
+                         apply->data().size()),
+        sync));
+    ++stats_.wal_appends;
+    if (sync) ++stats_.wal_syncs;
+    flight::record(flight::Subsys::kv, flight::ev::kv_wal_append,
+                   apply->data().size());
+  }
   SequenceNumber seq = first_seq;
-  GEKKO_RETURN_IF_ERROR(batch.for_each(
+  return apply->for_each(
       [&](ValueType t, std::string_view k, std::string_view v) {
         mem_->add(seq++, t, k, v);
-      }));
-  versions_.set_last_sequence(seq - 1);
-  return maybe_switch_memtable_(lock);
+      });
 }
 
 Status DB::switch_memtable_locked_() {
@@ -473,9 +493,8 @@ Status DB::flush_front_(UniqueLock& lock, bool unlocked_io) {
   auto entry = build_l0_(*imm.mem, file_no);
   if (unlocked_io) lock.lock();
   if (!entry) return entry.status();
-  // Version install and queue pop in ONE lock hold: a reader must never
-  // see an imm and its flushed L0 table at once (pending merge operands
-  // would double-apply).
+  // Version install and queue pop in ONE lock hold, so a reader finds
+  // each flushed version in exactly one place.
   GEKKO_RETURN_IF_ERROR(versions_.apply(0, {std::move(*entry)}, {}));
   imms_.pop_front();
   ++stats_.flushes;
@@ -657,69 +676,26 @@ Status DB::compact_level_(int level, UniqueLock& lock, bool unlocked_io) {
         continue;
       }
 
-      // Fold the run to the single visible version. Newest-first order:
-      // merges pile up until a base value/deletion.
-      std::vector<const Ver*> merges;  // newest first
-      const Ver* base = nullptr;
-      for (const auto& v : run) {
-        const ValueType t = trailer_type(v.trailer);
-        if (t == ValueType::merge) {
-          merges.push_back(&v);
-          continue;
-        }
-        base = &v;
-        break;
-      }
-
-      const std::uint64_t newest_seq = trailer_sequence(run.front().trailer);
-      if (merges.empty()) {
-        if (base == nullptr) continue;  // empty run (can't happen)
-        const ValueType t = trailer_type(base->trailer);
-        if (t == ValueType::deletion) {
+      // No snapshot pins history: keep only the newest version, and drop
+      // a tombstone once nothing older can lie beneath it.
+      const Ver& newest = run.front();
+      const std::uint64_t newest_seq = trailer_sequence(newest.trailer);
+      switch (trailer_type(newest.trailer)) {
+        case ValueType::value:
+          GEKKO_RETURN_IF_ERROR(emit(
+              make_internal_key(user_key, newest_seq, ValueType::value),
+              newest.value));
+          break;
+        case ValueType::deletion:
           if (!bottommost) {
             GEKKO_RETURN_IF_ERROR(emit(
                 make_internal_key(user_key, newest_seq, ValueType::deletion),
                 ""));
           }
-          continue;
-        }
-        GEKKO_RETURN_IF_ERROR(emit(
-            make_internal_key(user_key, newest_seq, ValueType::value),
-            base->value));
-        continue;
+          break;
+        default:  // merges are resolved before they reach a table
+          return Status{Errc::corruption, "unexpected record type in table"};
       }
-
-      // Merge folding. If this range isn't bottommost and we found no
-      // base here, an older base may live deeper: keep operands
-      // unfolded.
-      const bool has_base =
-          base != nullptr && trailer_type(base->trailer) == ValueType::value;
-      const bool base_is_tombstone =
-          base != nullptr &&
-          trailer_type(base->trailer) == ValueType::deletion;
-      if (!has_base && !base_is_tombstone && !bottommost) {
-        for (const Ver* m : merges) {
-          GEKKO_RETURN_IF_ERROR(
-              emit(make_internal_key(user_key, trailer_sequence(m->trailer),
-                                     ValueType::merge),
-                   m->value));
-        }
-        continue;
-      }
-      if (!options_.merge_operator) {
-        return Status{Errc::internal, "merge records without merge operator"};
-      }
-      std::string acc;
-      const std::string* existing = has_base ? &base->value : nullptr;
-      if (existing) acc = *existing;
-      bool have_acc = existing != nullptr;
-      for (auto it = merges.rbegin(); it != merges.rend(); ++it) {
-        acc = options_.merge_operator->merge(
-            user_key, have_acc ? &acc : nullptr, (*it)->value);
-        have_acc = true;
-      }
-      GEKKO_RETURN_IF_ERROR(emit(
-          make_internal_key(user_key, newest_seq, ValueType::value), acc));
     }
     return close_builder();
   }();
@@ -838,27 +814,6 @@ Status DB::get_internal_(std::string_view key, std::uint64_t snap,
   return Status::ok();
 }
 
-Result<std::string> DB::fold_merges_(std::string_view key,
-                                     const LookupResult& lr) const {
-  if (!options_.merge_operator) {
-    return Status{Errc::internal, "merge records without merge operator"};
-  }
-  const std::string* existing =
-      lr.state == LookupState::found ? &lr.value : nullptr;
-  std::string acc;
-  bool have_acc = false;
-  if (existing) {
-    acc = *existing;
-    have_acc = true;
-  }
-  for (auto it = lr.pending_merges.rbegin(); it != lr.pending_merges.rend();
-       ++it) {
-    acc = options_.merge_operator->merge(key, have_acc ? &acc : nullptr, *it);
-    have_acc = true;
-  }
-  return acc;
-}
-
 Result<std::string> DB::get(std::string_view key, const ReadOptions& ro) {
   ops_.gets.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t snap = ro.snapshot_seq;
@@ -868,18 +823,8 @@ Result<std::string> DB::get(std::string_view key, const ReadOptions& ro) {
   }
   LookupResult lr;
   GEKKO_RETURN_IF_ERROR(get_internal_(key, snap, &lr));
-
-  if (!lr.pending_merges.empty()) {
-    return fold_merges_(key, lr);
-  }
-  switch (lr.state) {
-    case LookupState::found:
-      return std::move(lr.value);
-    case LookupState::deleted:
-    case LookupState::not_present:
-      return Errc::not_found;
-  }
-  return Errc::internal;
+  if (lr.state != LookupState::found) return Errc::not_found;
+  return std::move(lr.value);
 }
 
 Result<bool> DB::contains(std::string_view key, const ReadOptions& ro) {
@@ -927,43 +872,21 @@ Status DB::scan(std::string_view start, std::string_view end,
     const std::string user_key{extract_user_key(it.key())};
     if (!end.empty() && user_key >= end) break;
 
-    // Resolve visibility for this user key at `snap`.
-    LookupResult lr;
+    // The first version at or below `snap` is this key's visible one.
     while (it.valid() && extract_user_key(it.key()) == user_key &&
-           lr.state == LookupState::not_present) {
-      const std::uint64_t trailer = extract_trailer(it.key());
-      if (trailer_sequence(trailer) <= snap) {
-        switch (trailer_type(trailer)) {
-          case ValueType::value:
-            lr.state = LookupState::found;
-            lr.value = std::string(it.value());
-            break;
-          case ValueType::deletion:
-            lr.state = LookupState::deleted;
-            break;
-          case ValueType::merge:
-            lr.pending_merges.emplace_back(it.value());
-            break;
-        }
-      }
+           trailer_sequence(extract_trailer(it.key())) > snap) {
       it.next();
+    }
+    std::optional<std::string> visible;
+    if (it.valid() && extract_user_key(it.key()) == user_key &&
+        trailer_type(extract_trailer(it.key())) == ValueType::value) {
+      visible.emplace(it.value());
     }
     // Skip any remaining versions of this key.
     while (it.valid() && extract_user_key(it.key()) == user_key) {
       it.next();
     }
-
-    std::optional<std::string> emit_value;
-    if (!lr.pending_merges.empty()) {
-      auto folded = fold_merges_(user_key, lr);
-      if (!folded) return folded.status();
-      emit_value = std::move(*folded);
-    } else if (lr.state == LookupState::found) {
-      emit_value = std::move(lr.value);
-    }
-    if (emit_value) {
-      if (!fn(user_key, *emit_value)) return Status::ok();
-    }
+    if (visible && !fn(user_key, *visible)) return Status::ok();
   }
   return Status::ok();
 }

@@ -4,7 +4,9 @@
 //  - atomic WriteBatch commits through a WAL,
 //  - strongly consistent point reads (read-your-writes),
 //  - snapshot-isolated scans,
-//  - merge operators for contention-free size updates,
+//  - merge operators for contention-free size updates, resolved at
+//    write time: a merge folds onto the key's current value under the
+//    DB lock and is stored as a full value, so reads never fold,
 //  - leveled compaction on a pool of background workers that do their
 //    file I/O with the DB lock RELEASED, so the foreground write path
 //    only stalls when the whole pipeline (immutable memtables + L0) is
@@ -118,9 +120,6 @@ class DB {
   Status insert(std::string_view key, std::string_view value,
                 const WriteOptions& wo = {});
 
-  /// delete-if-present. Errc::not_found if absent.
-  Status remove_existing(std::string_view key, const WriteOptions& wo = {});
-
   /// Batched put-if-absent: one lock acquisition and ONE WAL append for
   /// every key that passes its existence check (the batched-create hot
   /// path). Per-key outcome lands in `out` in request order (ok /
@@ -131,8 +130,8 @@ class DB {
       std::vector<Errc>* out, const WriteOptions& wo = {});
 
   /// Batched delete-if-present, same contract as insert_many. The old
-  /// value of each removed key (merge operands folded) lands in
-  /// `old_values` so callers can act on what was deleted.
+  /// value of each removed key lands in `old_values`, read in the same
+  /// lock hold as the erase, so callers can act on what was deleted.
   Status remove_many(const std::vector<std::string>& keys,
                      std::vector<Errc>* out,
                      std::vector<std::string>* old_values,
@@ -185,14 +184,19 @@ class DB {
   Status recover_();
   Status write_locked_(const WriteBatch& batch, bool sync, UniqueLock& lock)
       GEKKO_REQUIRES(mutex_);
+  /// The one path a batch takes into the LSM, for live writes and WAL
+  /// replay alike: resolve its merges into puts, append it to the WAL if
+  /// `to_wal`, then add it to mem_ from `first_seq` on. The WAL, memtables
+  /// and tables therefore hold only values and tombstones.
+  Status apply_locked_(const WriteBatch& batch, SequenceNumber first_seq,
+                       bool to_wal, bool sync) GEKKO_REQUIRES(mutex_);
   Status maybe_switch_memtable_(UniqueLock& lock) GEKKO_REQUIRES(mutex_);
   /// Seal mem_ behind a fresh WAL and queue it for flushing.
   Status switch_memtable_locked_() GEKKO_REQUIRES(mutex_);
   /// Flush the OLDEST immutable memtable (front of the queue). With
   /// unlocked_io the SST build runs with mutex_ released; the version
   /// install and the queue pop happen in the same lock hold, so readers
-  /// never see an imm and its L0 table at once (merge operands would
-  /// double-apply).
+  /// never see an imm and its L0 table at once.
   Status flush_front_(UniqueLock& lock, bool unlocked_io)
       GEKKO_REQUIRES(mutex_);
   /// Build one L0 table from a sealed memtable. Pure file I/O — no DB
@@ -218,8 +222,6 @@ class DB {
   void release_snapshot_(std::uint64_t seq);
   [[nodiscard]] std::uint64_t oldest_snapshot_locked_() const
       GEKKO_REQUIRES(mutex_);
-  Result<std::string> fold_merges_(std::string_view key,
-                                   const LookupResult& lr) const;
   Status get_internal_(std::string_view key, std::uint64_t snap,
                        LookupResult* lr);
 

@@ -13,6 +13,9 @@
 
 namespace gekko::kv {
 
+/// deletion and value are the only record types stored in the WAL,
+/// memtables and tables. merge is a WriteBatch op only: the DB folds it
+/// into a value before the batch is logged.
 enum class ValueType : std::uint8_t {
   deletion = 0,
   value = 1,
@@ -55,7 +58,8 @@ inline std::string make_internal_key(std::string_view user_key,
 }
 
 /// A "lookup key": the largest internal key visible at `seq` for
-/// `user_key` under internal ordering (seq descending).
+/// `user_key` under internal ordering (seq descending). It carries the
+/// highest type byte, so it sorts before every record at `seq`.
 inline std::string make_lookup_key(std::string_view user_key,
                                    SequenceNumber seq) {
   return make_internal_key(user_key, seq, ValueType::merge);

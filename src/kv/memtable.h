@@ -9,7 +9,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "kv/internal_key.h"
 #include "kv/skiplist.h"
@@ -26,9 +25,6 @@ enum class LookupState {
 struct LookupResult {
   LookupState state = LookupState::not_present;
   std::string value;  // valid when state == found
-  /// Merge operands collected newest-first while descending components.
-  /// Lookup continues past merges until a base value/deletion/bottom.
-  std::vector<std::string> pending_merges;
 };
 
 class MemTable {
@@ -43,36 +39,22 @@ class MemTable {
                             std::memory_order_relaxed);
   }
 
-  /// Point lookup visible at `snapshot_seq`. Appends any merge operands
-  /// (newest first) to `result.pending_merges` and sets state if a base
-  /// value or tombstone is found.
+  /// Point lookup visible at `snapshot_seq`: sets state (and value) from
+  /// the newest visible version. Only values and tombstones are ever
+  /// added — the DB resolves merges before they reach a memtable.
   void get(std::string_view user_key, SequenceNumber snapshot_seq,
            LookupResult* result) const {
     SkipList::Iterator it(&list_);
+    // Seeking the lookup key lands on the newest version visible at the
+    // snapshot, if the key has one.
     it.seek(make_lookup_key(user_key, snapshot_seq));
-    while (it.valid()) {
-      const std::string_view ikey = it.key();
-      if (extract_user_key(ikey) != user_key) break;
-      const std::uint64_t trailer = extract_trailer(ikey);
-      if (trailer_sequence(trailer) > snapshot_seq) {
-        it.next();  // newer than our snapshot; skip
-        continue;
-      }
-      switch (trailer_type(trailer)) {
-        case ValueType::value:
-          result->state = LookupState::found;
-          result->value = it.value();
-          return;
-        case ValueType::deletion:
-          result->state = LookupState::deleted;
-          return;
-        case ValueType::merge:
-          result->pending_merges.emplace_back(it.value());
-          it.next();
-          continue;
-      }
+    if (!it.valid() || extract_user_key(it.key()) != user_key) return;
+    if (trailer_type(extract_trailer(it.key())) == ValueType::value) {
+      result->state = LookupState::found;
+      result->value = it.value();
+    } else {
+      result->state = LookupState::deleted;
     }
-    // state stays not_present; merges (if any) continue in older parts.
   }
 
   [[nodiscard]] std::size_t approximate_bytes() const noexcept {

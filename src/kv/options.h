@@ -19,7 +19,8 @@ class MergeOperator {
   virtual ~MergeOperator() = default;
   [[nodiscard]] virtual std::string_view name() const = 0;
   /// Fold `operand` into `existing` (absent if the key had no value).
-  /// Returns the merged full value.
+  /// Returns the merged full value. Runs inside the write, with the DB
+  /// lock held, so it must not call back into the DB.
   [[nodiscard]] virtual std::string merge(
       std::string_view key, const std::string* existing,
       std::string_view operand) const = 0;

@@ -220,43 +220,33 @@ Status Table::get(std::string_view user_key, SequenceNumber snapshot_seq,
     return Status::ok();  // definitely absent from this table
   }
 
+  // Each index key is its block's last key, so the first block whose
+  // index key is >= the lookup key holds the newest visible version.
   const std::string lookup = make_lookup_key(user_key, snapshot_seq);
   BlockIterator index_iter(index_block_);
   index_iter.seek(lookup);
-  while (index_iter.valid()) {
-    auto handle = decode_handle(index_iter.value());
-    if (!handle) return handle.status();
-    auto block = read_block_(*handle);
-    if (!block) return block.status();
+  if (!index_iter.valid()) return Status::ok();
+  auto handle = decode_handle(index_iter.value());
+  if (!handle) return handle.status();
+  auto block = read_block_(*handle);
+  if (!block) return block.status();
 
-    BlockIterator it(**block);
-    it.seek(lookup);
-    while (it.valid()) {
-      const std::string_view ikey = it.key();
-      if (extract_user_key(ikey) != user_key) return Status::ok();
-      const std::uint64_t trailer = extract_trailer(ikey);
-      if (trailer_sequence(trailer) > snapshot_seq) {
-        it.next();
-        continue;
-      }
-      switch (trailer_type(trailer)) {
-        case ValueType::value:
-          result->state = LookupState::found;
-          result->value = it.value();
-          return Status::ok();
-        case ValueType::deletion:
-          result->state = LookupState::deleted;
-          return Status::ok();
-        case ValueType::merge:
-          result->pending_merges.emplace_back(it.value());
-          it.next();
-          continue;
-      }
-    }
-    // The run of this user key may spill into the next data block.
-    index_iter.next();
+  BlockIterator it(**block);
+  it.seek(lookup);
+  if (!it.valid() || extract_user_key(it.key()) != user_key) {
+    return Status::ok();
   }
-  return Status::ok();
+  switch (trailer_type(extract_trailer(it.key()))) {
+    case ValueType::value:
+      result->state = LookupState::found;
+      result->value = it.value();
+      return Status::ok();
+    case ValueType::deletion:
+      result->state = LookupState::deleted;
+      return Status::ok();
+    default:  // merges are resolved before they reach a table
+      return Status{Errc::corruption, "unexpected record type in table"};
+  }
 }
 
 // ---------- Table::Iterator ----------

@@ -88,7 +88,7 @@ class Table {
       std::uint64_t file_number = 0);
 
   /// Point lookup: consult bloom filter, then index, then one data block.
-  /// Appends merge operands / sets final state into `result`.
+  /// Sets `result` from the newest version visible at `snapshot_seq`.
   Status get(std::string_view user_key, SequenceNumber snapshot_seq,
              LookupResult* result) const;
 

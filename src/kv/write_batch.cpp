@@ -14,11 +14,13 @@ void WriteBatch::erase(std::string_view key) {
 
 void WriteBatch::merge(std::string_view key, std::string_view operand) {
   append_op_(ValueType::merge, key, operand, true);
+  has_merges_ = true;
 }
 
 void WriteBatch::clear() {
   rep_.clear();
   count_ = 0;
+  has_merges_ = false;
 }
 
 void WriteBatch::append_op_(ValueType t, std::string_view key,
@@ -64,6 +66,7 @@ Result<WriteBatch> WriteBatch::from_bytes(std::string_view bytes) {
         t != ValueType::merge) {
       return Status{Errc::corruption, "bad op type in batch"};
     }
+    if (t == ValueType::merge) batch.has_merges_ = true;
     auto key = dec.str();
     if (!key) return key.status();
     if (t != ValueType::deletion) {

@@ -23,6 +23,9 @@ class WriteBatch {
 
   [[nodiscard]] std::uint32_t count() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  /// True if any op is a merge; the DB resolves those to puts before
+  /// the batch reaches the WAL.
+  [[nodiscard]] bool has_merges() const noexcept { return has_merges_; }
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept {
     return rep_;
   }
@@ -45,6 +48,7 @@ class WriteBatch {
 
   std::vector<std::uint8_t> rep_;
   std::uint32_t count_ = 0;
+  bool has_merges_ = false;
 };
 
 }  // namespace gekko::kv

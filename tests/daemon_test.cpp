@@ -2,7 +2,12 @@
 // operator, dirent sharding, and RPC handlers through a real engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
+#include <thread>
 
 #include "common/lockdep.h"
 #include "common/metrics.h"
@@ -116,6 +121,106 @@ TEST_F(MetadataBackendTest, UpdateSizeIsMonotonicMax) {
   EXPECT_EQ(mb_->get("/f")->size, 100u);
   ASSERT_TRUE(mb_->set_size("/f", 10).is_ok());
   EXPECT_EQ(mb_->get("/f")->size, 10u);
+}
+
+/// The metadata operator, plus a trap: once armed for a thread, the
+/// first fold that runs on that thread parks there until the test
+/// releases it. A remove that reads the record (folding pending size
+/// updates) and erases it in two separate steps parks between them.
+class ParkingMergeOperator final : public kv::MergeOperator {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "parking"; }
+
+  [[nodiscard]] std::string merge(std::string_view key,
+                                  const std::string* existing,
+                                  std::string_view operand) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_ && std::this_thread::get_id() == thread_) {
+        armed_ = false;
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    return inner_.merge(key, existing, operand);
+  }
+
+  void arm(std::thread::id thread) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+    thread_ = thread;
+  }
+  /// Waits until the armed thread parks (true) or `done` turns true.
+  bool wait_parked_or(const std::atomic<bool>& done) {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!parked_ && !done.load()) {
+      cv_.wait_for(lock, std::chrono::milliseconds(1));
+    }
+    return parked_;
+  }
+  void release() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  MetadataMergeOperator inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool armed_ = false;
+  mutable bool parked_ = false;
+  bool released_ = false;
+  std::thread::id thread_;
+};
+
+TEST(MetadataBackendRaceTest, RemoveReportsSizeUpdateThatLandsDuringIt) {
+  // A size update acknowledged before remove() returns must show up in
+  // the size it reports (or in a record that outlives the remove);
+  // otherwise the client skips chunk cleanup and leaks the data.
+  const auto dir = fresh_dir("remove_race");
+  auto op = std::make_shared<ParkingMergeOperator>();
+  kv::Options opts;
+  opts.background_compaction = false;
+  opts.merge_operator = op;
+  auto mb = MetadataBackend::open(dir, opts);
+  ASSERT_TRUE(mb.is_ok());
+  ASSERT_TRUE((*mb)->create("/f", regular_md()).is_ok());
+  ASSERT_TRUE((*mb)->update_size("/f", 100, 10).is_ok());
+
+  std::atomic<bool> go{false};
+  std::atomic<bool> removed{false};
+  Result<proto::Metadata> result = Errc::internal;
+  std::thread remover([&] {
+    while (!go.load()) std::this_thread::yield();
+    result = (*mb)->remove("/f");
+    removed = true;
+  });
+  op->arm(remover.get_id());
+  go = true;
+  // A remove that folds the record in one step and erases it in another
+  // parks in between, and a writer gets in. A remove that reads and
+  // erases under one DB lock hold folds nothing and never parks.
+  const bool raced = op->wait_parked_or(removed);
+  if (raced) EXPECT_TRUE((*mb)->update_size("/f", 4096, 20).is_ok());
+  op->release();
+  remover.join();
+
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  auto after = (*mb)->get("/f");
+  if (raced) {
+    // The update was acknowledged before remove() returned.
+    const bool reported = result->size == 4096u;
+    const bool outlived = after.is_ok() && after->size == 4096u;
+    EXPECT_TRUE(reported || outlived)
+        << "size update lost: remove reported " << result->size;
+  } else {
+    EXPECT_EQ(result->size, 100u);
+    EXPECT_EQ(after.code(), Errc::not_found);
+  }
+  mb->reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(MetadataBackendTest, DirentsFilterDirectChildren) {

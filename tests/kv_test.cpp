@@ -15,6 +15,7 @@
 #include "common/fileio.h"
 #include "common/lockdep.h"
 #include "common/rng.h"
+#include "daemon/metadata_merge.h"
 #include "kv/bloom.h"
 #include "kv/block.h"
 #include "kv/db.h"
@@ -508,21 +509,6 @@ TEST(MemTableTest, VisibilityRules) {
   EXPECT_EQ(at1.value, "v1");
 }
 
-TEST(MemTableTest, MergeOperandsAccumulateNewestFirst) {
-  MemTable mem;
-  mem.add(1, ValueType::value, "k", "base");
-  mem.add(2, ValueType::merge, "k", "m1");
-  mem.add(3, ValueType::merge, "k", "m2");
-
-  LookupResult lr;
-  mem.get("k", kMaxSequence, &lr);
-  EXPECT_EQ(lr.state, LookupState::found);
-  EXPECT_EQ(lr.value, "base");
-  ASSERT_EQ(lr.pending_merges.size(), 2u);
-  EXPECT_EQ(lr.pending_merges[0], "m2");  // newest first
-  EXPECT_EQ(lr.pending_merges[1], "m1");
-}
-
 // ---------- DB facade ----------
 
 class DbTest : public ::testing::Test {
@@ -571,8 +557,13 @@ TEST_F(DbTest, PutGetDelete) {
 TEST_F(DbTest, InsertIsCreateSemantics) {
   EXPECT_TRUE(db_->insert("/file", "md").is_ok());
   EXPECT_EQ(db_->insert("/file", "md2").code(), Errc::exists);
-  EXPECT_TRUE(db_->remove_existing("/file").is_ok());
-  EXPECT_EQ(db_->remove_existing("/file").code(), Errc::not_found);
+  std::vector<Errc> out;
+  std::vector<std::string> old;
+  ASSERT_TRUE(db_->remove_many({"/file"}, &out, &old).is_ok());
+  EXPECT_EQ(out[0], Errc::ok);
+  EXPECT_EQ(old[0], "md");
+  ASSERT_TRUE(db_->remove_many({"/file"}, &out, &old).is_ok());
+  EXPECT_EQ(out[0], Errc::not_found);
   // Insert works again after removal.
   EXPECT_TRUE(db_->insert("/file", "md3").is_ok());
   EXPECT_EQ(*db_->get("/file"), "md3");
@@ -783,6 +774,200 @@ TEST_F(DbTest, U64MaxMergeOperator) {
   ASSERT_TRUE(db_->merge("size", U64MaxMergeOperator::encode(50)).is_ok());
   ASSERT_TRUE(db_->merge("size", U64MaxMergeOperator::encode(200)).is_ok());
   EXPECT_EQ(U64MaxMergeOperator::decode(*db_->get("size")), 200u);
+}
+
+// ---------- write-time merge resolution ----------
+
+/// Every record type stored in the WALs and tables under `dir`. Merges
+/// are folded before a batch is logged, so only values and tombstones
+/// may ever show up here.
+std::set<ValueType> stored_record_types(const std::filesystem::path& dir) {
+  std::set<ValueType> types;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".log")) {
+      auto stats = wal_recover(
+          entry.path(), [&](SequenceNumber, std::string_view bytes) {
+            auto batch = WriteBatch::from_bytes(bytes);
+            if (!batch) return batch.status();
+            return batch->for_each(
+                [&](ValueType t, std::string_view, std::string_view) {
+                  types.insert(t);
+                });
+          });
+      EXPECT_TRUE(stats.is_ok()) << name;
+    } else if (name.ends_with(".sst")) {
+      auto table = Table::open(entry.path(), Options{});
+      EXPECT_TRUE(table.is_ok()) << name;
+      if (!table) continue;
+      Table::Iterator it(*table);
+      for (it.seek_to_first(); it.valid(); it.next()) {
+        types.insert(trailer_type(extract_trailer(it.key())));
+      }
+    }
+  }
+  return types;
+}
+
+bool holds_merge_records(const std::filesystem::path& dir) {
+  return stored_record_types(dir).count(ValueType::merge) != 0;
+}
+
+TEST_F(DbTest, MergeAfterPutOrEraseInOneBatch) {
+  ASSERT_TRUE(db_->put("erased", "old").is_ok());
+  ASSERT_TRUE(db_->put("stored", "pre").is_ok());
+  WriteBatch batch;
+  batch.put("put", "base");
+  batch.merge("put", "a");
+  batch.merge("put", "b");
+  batch.erase("erased");
+  batch.merge("erased", "x");  // the erase leaves no base to fold onto
+  batch.merge("stored", "y");  // base comes from the DB, not the batch
+  ASSERT_TRUE(db_->write(batch).is_ok());
+  EXPECT_EQ(*db_->get("put"), "base,a,b");
+  EXPECT_EQ(*db_->get("erased"), "x");
+  EXPECT_EQ(*db_->get("stored"), "pre,y");
+  EXPECT_FALSE(holds_merge_records(dir_ / "db"));
+}
+
+TEST_F(DbTest, SnapshotInsideMergeChainKeepsOldValue) {
+  ASSERT_TRUE(db_->merge("k", "a").is_ok());
+  ASSERT_TRUE(db_->merge("k", "b").is_ok());
+  auto snap = db_->snapshot();
+  ASSERT_TRUE(db_->merge("k", "c").is_ok());
+  ASSERT_TRUE(db_->merge("k", "d").is_ok());
+  ReadOptions at_snap;
+  at_snap.snapshot_seq = snap->sequence();
+  EXPECT_EQ(*db_->get("k", at_snap), "a,b");
+  EXPECT_EQ(*db_->get("k"), "a,b,c,d");
+  // Older versions stay under their own sequence numbers through a
+  // flush and a full compaction while the snapshot pins them.
+  ASSERT_TRUE(db_->compact_all().is_ok());
+  EXPECT_EQ(*db_->get("k", at_snap), "a,b");
+  EXPECT_EQ(*db_->get("k"), "a,b,c,d");
+}
+
+TEST_F(DbTest, MergeOntoBaseInFlushedAndCompactedTables) {
+  ASSERT_TRUE(db_->put("k", "base").is_ok());
+  ASSERT_TRUE(db_->flush().is_ok());
+  ASSERT_GT(db_->stats().level_files[0], 0u);
+  ASSERT_TRUE(db_->merge("k", "x").is_ok());  // base lives in L0
+  EXPECT_EQ(*db_->get("k"), "base,x");
+
+  ASSERT_TRUE(db_->compact_all().is_ok());
+  EXPECT_EQ(db_->stats().level_files[0], 0u);
+  ASSERT_TRUE(db_->merge("k", "y").is_ok());  // base lives below L0
+  EXPECT_EQ(*db_->get("k"), "base,x,y");
+  ASSERT_TRUE(db_->flush().is_ok());
+  EXPECT_EQ(*db_->get("k"), "base,x,y");
+  EXPECT_FALSE(holds_merge_records(dir_ / "db"));
+}
+
+TEST_F(DbTest, CrashImageReplaysFoldedValuesFromWal) {
+  WriteOptions sync;
+  sync.sync = true;
+  ASSERT_TRUE(db_->put("k", "base", sync).is_ok());
+  ASSERT_TRUE(db_->merge("k", "a", sync).is_ok());
+  ASSERT_TRUE(db_->merge("k", "b", sync).is_ok());
+  ASSERT_TRUE(db_->merge("fresh", "z", sync).is_ok());
+  // Copy the directory while the DB is open: the memtable is unflushed,
+  // so the copy is what a crash leaves behind.
+  const auto image = dir_ / "image";
+  std::filesystem::copy(dir_ / "db", image);
+  const auto types = stored_record_types(image);
+  EXPECT_EQ(types.count(ValueType::merge), 0u);
+  EXPECT_EQ(types.count(ValueType::value), 1u);
+
+  auto reopened = DB::open(image, default_options());
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  EXPECT_GT((*reopened)->stats().wal_recovered_records, 0u);
+  EXPECT_EQ(*(*reopened)->get("k"), "base,a,b");
+  EXPECT_EQ(*(*reopened)->get("fresh"), "z");
+}
+
+TEST_F(DbTest, ReplayFoldsMergeRecordsOfAnOlderWal) {
+  // A WAL whose batch still carries merge ops replays through the same
+  // resolution as a live write: operands fold onto the stored value.
+  ASSERT_TRUE(db_->put("k", "base").is_ok());
+  db_.reset();
+  const auto wal_path = dir_ / "db" / "wal-99999999.log";
+  {
+    auto w = WalWriter::create(wal_path);
+    ASSERT_TRUE(w.is_ok());
+    WriteBatch batch;
+    batch.merge("k", "a");
+    batch.merge("k", "b");
+    const auto& bytes = batch.data();
+    ASSERT_TRUE(w->append(1000000,
+                          std::string_view(
+                              reinterpret_cast<const char*>(bytes.data()),
+                              bytes.size()),
+                          true)
+                    .is_ok());
+    ASSERT_TRUE(w->close().is_ok());
+  }
+  open_db();
+  EXPECT_EQ(*db_->get("k"), "base,a,b");
+  EXPECT_FALSE(holds_merge_records(dir_ / "db"));
+}
+
+TEST_F(DbTest, MergeWithoutOperatorIsRejectedBeforeLogging) {
+  Options o = default_options();
+  o.merge_operator = nullptr;
+  open_db(o);
+  EXPECT_EQ(db_->merge("k", "a").code(), Errc::not_supported);
+  WriteBatch batch;
+  batch.put("other", "v");
+  batch.merge("k", "a");
+  EXPECT_EQ(db_->write(batch).code(), Errc::not_supported);
+  EXPECT_EQ(db_->get("other").code(), Errc::not_found);  // all or nothing
+  EXPECT_EQ(db_->stats().wal_appends, 0u);
+}
+
+TEST_F(DbTest, U64MaxMergesResolveAcrossFlush) {
+  Options o = default_options();
+  o.merge_operator = std::make_shared<U64MaxMergeOperator>();
+  open_db(o);
+  ASSERT_TRUE(db_->merge("size", U64MaxMergeOperator::encode(300)).is_ok());
+  ASSERT_TRUE(db_->flush().is_ok());
+  ASSERT_TRUE(db_->merge("size", U64MaxMergeOperator::encode(100)).is_ok());
+  EXPECT_EQ(U64MaxMergeOperator::decode(*db_->get("size")), 300u);
+  ASSERT_TRUE(db_->merge("size", U64MaxMergeOperator::encode(900)).is_ok());
+  ASSERT_TRUE(db_->compact_all().is_ok());
+  EXPECT_EQ(U64MaxMergeOperator::decode(*db_->get("size")), 900u);
+  EXPECT_FALSE(holds_merge_records(dir_ / "db"));
+}
+
+TEST_F(DbTest, MetadataMergesResolveOntoStoredRecord) {
+  Options o = default_options();
+  o.merge_operator = std::make_shared<daemon::MetadataMergeOperator>();
+  open_db(o);
+  proto::Metadata md;
+  md.type = proto::FileType::regular;
+  md.size = 10;
+  md.mtime_ns = 5;
+  ASSERT_TRUE(db_->insert("/f", md.encode()).is_ok());
+  ASSERT_TRUE(db_->flush().is_ok());
+  ASSERT_TRUE(db_->merge("/f", daemon::encode_size_operand(
+                                   daemon::SizeOp::grow_to, 4096, 7))
+                  .is_ok());
+  ASSERT_TRUE(db_->merge("/f", daemon::encode_size_operand(
+                                   daemon::SizeOp::grow_to, 100, 6))
+                  .is_ok());
+  auto got = proto::Metadata::decode(*db_->get("/f"));
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(got->type, proto::FileType::regular);
+  EXPECT_EQ(got->size, 4096u);
+  EXPECT_EQ(got->mtime_ns, 7);
+
+  ASSERT_TRUE(db_->merge("/f", daemon::encode_size_operand(
+                                   daemon::SizeOp::set_to, 1, 0))
+                  .is_ok());
+  open_db(o);  // round-trip through the close-time flush
+  got = proto::Metadata::decode(*db_->get("/f"));
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(got->size, 1u);
+  EXPECT_FALSE(holds_merge_records(dir_ / "db"));
 }
 
 TEST_F(DbTest, BackgroundCompactionMode) {
